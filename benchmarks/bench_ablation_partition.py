@@ -1,9 +1,10 @@
 """Ablation A2 — partition-based pre-processing (paper future work, §6).
 
 Compares flat all-pairs tables against the partitioned variant on build
-time, score memory and the accuracy of the assembled scores.  The
-assembly is exact (repro.prep.partition explains why), so the deviation
-column doubles as an end-to-end verification and must read ~0.
+time, score memory and the accuracy of the assembled scores (rows and
+columns).  The assembly is exact (repro.prep.partition explains why), so
+the deviation column doubles as an end-to-end verification and must read
+~0.
 """
 
 from _helpers import emit_figure
@@ -17,6 +18,6 @@ def test_emit_figure(benchmark):
     partitioned_mb = result.series["partitioned"][1]
     # The whole point of the future-work design: less table memory.
     assert partitioned_mb < flat_mb
-    # Exact assembly: the mean relative deviation from the flat optimum
-    # is zero up to float noise — neither undercutting nor inflating.
+    # Exact assembly: no sampled row or column of BS(sigma) / OS(tau)
+    # deviates from the flat optimum beyond float noise, either way.
     assert abs(result.series["partitioned"][2]) < 1e-9

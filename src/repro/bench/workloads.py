@@ -69,7 +69,7 @@ class Workload:
     engine: KOREngine
     #: Per-keyword-count default Delta used when the sweep fixes keywords.
     default_delta: float
-    _query_sets: dict[tuple[int, float, int], list[KORQuery]] = field(
+    _query_sets: dict[tuple[int, float, int, int], list[KORQuery]] = field(
         default_factory=dict, repr=False
     )
 
@@ -80,7 +80,7 @@ class Workload:
         num_queries: int | None = None,
         seed: int = 0,
     ) -> list[KORQuery]:
-        """The cached query set for ``(num_keywords, delta)``.
+        """The cached query set for ``(num_keywords, delta, num_queries, seed)``.
 
         Follows the paper's generation recipe (random endpoints, keywords
         from the dataset vocabulary) with the feasibility screens described
@@ -89,7 +89,7 @@ class Workload:
         """
         delta = self.default_delta if delta is None else float(delta)
         num_queries = bench_num_queries() if num_queries is None else num_queries
-        key = (num_keywords, delta, num_queries)
+        key = (num_keywords, delta, num_queries, seed)
         cached = self._query_sets.get(key)
         if cached is None:
             config = QuerySetConfig(

@@ -94,6 +94,9 @@ class KORResult:
     #: attempt missed its deadline and the cell-local result stood in).
     #: Exact answers are never flagged.
     degraded: bool = False
+    #: Graph epoch a live service computed this answer under (None when
+    #: no epoch-tracking service produced it).  Not part of equality.
+    epoch: int | None = field(default=None, compare=False)
 
     @property
     def found(self) -> bool:

@@ -19,9 +19,15 @@ over every ``(b1, b2)`` combination therefore recovers the flat table's
 value for both path families (``tau`` and ``sigma``), and a path that
 never touches a border node is covered by the in-cell term.  What the
 partitioned tables trade away is not accuracy but *pre-processing
-shape*: ``O(sum n_c^2 + k^2)`` floats instead of ``O(n^2)``, with per-pair
-assembly work at query time.  The accompanying ablation benchmark
-quantifies build time and memory against the flat tables.
+shape*: ``O(sum n_c^2 + k^2)`` floats instead of ``O(n^2)``, with
+assembly work at query time.  A whole row (or column) is assembled in one
+gather: a flat array of every ``(border b, node v in cell(b))`` pair,
+sorted by ``v`` and holding the in-cell leg, is built lazily once; a miss
+adds the ``mid`` vector (``|exits| * k`` sums over the anchor cell's
+border nodes) to the gathered legs and takes a lexicographic segmented
+min per ``v`` — ``sum_c |border(c)| * |c|`` pairs, no loop over cells.
+Scalar lookups read the cached row.  The accompanying ablation benchmark
+quantifies build time, memory and exactness against the flat tables.
 
 :class:`PartitionedCostTables` implements the full access protocol of
 :class:`repro.prep.tables.CostTables` — scalar lookups, row/column
@@ -266,11 +272,11 @@ class PartitionedCostTables:
     ``predecessors=True``) path materialisation.  Assembled scores are
     **exact** (see the module docstring): in-cell whenever the optimal
     path stays inside one cell, stitched through the best border-node
-    pair otherwise.  Row/column results are cached per node — queries
-    hit the same target repeatedly — in LRU caches bounded to
-    ``_CACHE_BYTE_BUDGET`` bytes each (reported by :meth:`cache_bytes`),
-    so long-lived instances amortise assembly cost without ever
-    regrowing an ``O(n^2)`` resident footprint.
+    pair otherwise.  Row/column results are cached per node in LRU
+    caches bounded to ``_CACHE_BYTE_BUDGET`` bytes each, so long-lived
+    instances amortise assembly cost without ever regrowing an
+    ``O(n^2)`` resident footprint; :meth:`cache_bytes` reports them and
+    the pair gathers.
     """
 
     partition: GraphPartition
@@ -286,16 +292,19 @@ class PartitionedCostTables:
     #: Full-graph predecessor rows, one per border node (optional).
     border_pred_tau: np.ndarray | None = None
     border_pred_sigma: np.ndarray | None = None
-    #: Cached per-target columns (queries hit the same target repeatedly).
-    _column_cache: _LRUPairCache | None = field(default=None, repr=False)
-    #: Cached per-source rows (greedy expansion walks one node at a time).
-    _row_cache: _LRUPairCache | None = field(default=None, repr=False)
+    #: Derived state, rebuilt empty by ``__post_init__``: LRU caches of
+    #: assembled columns (queries hit one target repeatedly) and rows
+    #: (greedy expansion walks one node at a time), plus the lazily built
+    #: pair gathers.  ``init=False`` keeps ``dataclasses.replace`` from
+    #: ever carrying them onto new cell tables.
+    _column_cache: _LRUPairCache = field(init=False, repr=False)
+    _row_cache: _LRUPairCache = field(init=False, repr=False)
+    _gathers: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self._column_cache is None:
-            self._column_cache = _LRUPairCache(self.num_nodes)
-        if self._row_cache is None:
-            self._row_cache = _LRUPairCache(self.num_nodes)
+        self._column_cache = _LRUPairCache(self.num_nodes)
+        self._row_cache = _LRUPairCache(self.num_nodes)
+        self._gathers = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -390,15 +399,16 @@ class PartitionedCostTables:
     # pickling (handles ship these to process-pool workers)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
+        # Derived state: shipping it would bloat every worker pickle with
+        # whatever the parent happened to look up.
         state = self.__dict__.copy()
-        # Caches are derived state: shipping them would bloat every
-        # worker pickle with whatever the parent happened to look up.
-        state["_column_cache"] = _LRUPairCache(self.num_nodes)
-        state["_row_cache"] = _LRUPairCache(self.num_nodes)
+        for name in ("_column_cache", "_row_cache", "_gathers"):
+            del state[name]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.__post_init__()
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -422,40 +432,42 @@ class PartitionedCostTables:
     # ------------------------------------------------------------------
     # scalar lookups
     # ------------------------------------------------------------------
+    # Every scalar is read from the cached row of its source, so it is
+    # bit-identical to the row and column views.
     def os_tau(self, i: int, j: int) -> float:
         """Assembled ``OS(tau_{i,j})`` (exact; see module docstring)."""
-        return self._pair(i, j, "tau")[0]
+        return self._at(i, j, "tau", 0)
 
     def bs_tau(self, i: int, j: int) -> float:
         """``BS`` of the assembled objective-optimal path."""
-        return self._pair(i, j, "tau")[1]
+        return self._at(i, j, "tau", 1)
 
     def os_sigma(self, i: int, j: int) -> float:
         """``OS`` of the assembled budget-optimal path."""
-        return self._pair(i, j, "sigma")[1]
+        return self._at(i, j, "sigma", 1)
 
     def bs_sigma(self, i: int, j: int) -> float:
         """Assembled ``BS(sigma_{i,j})`` (exact)."""
-        return self._pair(i, j, "sigma")[0]
+        return self._at(i, j, "sigma", 0)
 
     # ------------------------------------------------------------------
     # column access (protocol shared with CostTables)
     # ------------------------------------------------------------------
     def os_tau_col(self, t: int) -> np.ndarray:
         """Assembled ``OS(tau_{i,t})`` for every ``i``."""
-        return self._columns(t, "tau")[0]
+        return self._assembled(t, "tau", "column")[0]
 
     def bs_tau_col(self, t: int) -> np.ndarray:
         """Assembled ``BS`` along tau for every ``i``."""
-        return self._columns(t, "tau")[1]
+        return self._assembled(t, "tau", "column")[1]
 
     def os_sigma_col(self, t: int) -> np.ndarray:
         """Assembled ``OS`` along sigma for every ``i``."""
-        return self._columns(t, "sigma")[1]
+        return self._assembled(t, "sigma", "column")[1]
 
     def bs_sigma_col(self, t: int) -> np.ndarray:
         """Assembled ``BS(sigma_{i,t})`` for every ``i``."""
-        return self._columns(t, "sigma")[0]
+        return self._assembled(t, "sigma", "column")[0]
 
     def os_tau_cols(self, nodes: np.ndarray) -> np.ndarray:
         """``OS(tau_{i,t})`` for every ``i`` and every ``t`` in *nodes*."""
@@ -474,22 +486,23 @@ class PartitionedCostTables:
     # ------------------------------------------------------------------
     def os_tau_row(self, i: int) -> np.ndarray:
         """Assembled ``OS(tau_{i,j})`` for every ``j``."""
-        return self._rows(i, "tau")[0]
+        return self._assembled(i, "tau", "row")[0]
 
     def bs_tau_row(self, i: int) -> np.ndarray:
         """Assembled ``BS`` along tau for every ``j``."""
-        return self._rows(i, "tau")[1]
+        return self._assembled(i, "tau", "row")[1]
 
     def os_sigma_row(self, i: int) -> np.ndarray:
         """Assembled ``OS`` along sigma for every ``j``."""
-        return self._rows(i, "sigma")[1]
+        return self._assembled(i, "sigma", "row")[1]
 
     def bs_sigma_row(self, i: int) -> np.ndarray:
         """Assembled ``BS(sigma_{i,j})`` for every ``j``."""
-        return self._rows(i, "sigma")[0]
+        return self._assembled(i, "sigma", "row")[0]
 
     def os_sigma_at(self, i: int, j: int) -> float:
-        """``OS(sigma_{i,j})`` as a scalar, without assembling a row."""
+        """``OS(sigma_{i,j})`` from the sigma row of *i* — the row the
+        Strategy-1 jump test has just fetched, so the read is a cache hit."""
         return self.os_sigma(i, j)
 
     # ------------------------------------------------------------------
@@ -535,8 +548,9 @@ class PartitionedCostTables:
         return total
 
     def cache_bytes(self) -> int:
-        """Bytes currently held by the bounded row/column LRU caches."""
-        return self._column_cache.nbytes() + self._row_cache.nbytes()
+        """Bytes held by derived state: the row/column LRUs and gathers."""
+        gathered = sum(array.nbytes for arrays in self._gathers.values() for array in arrays)
+        return self._column_cache.nbytes() + self._row_cache.nbytes() + gathered
 
     @staticmethod
     def flat_memory_bytes(num_nodes: int, dtype_bytes: int = 8) -> int:
@@ -569,20 +583,20 @@ class PartitionedCostTables:
         if not 0 <= node < self.num_nodes:
             raise PrepError(f"node {node} outside 0..{self.num_nodes - 1}")
 
-    def _pair(self, i: int, j: int, kind: str) -> tuple[float, float]:
-        primary, secondary, _combo = self._assemble_pair(int(i), int(j), kind)
-        return primary, secondary
+    def _at(self, i: int, j: int, kind: str, which: int) -> float:
+        self._check_node(int(j))
+        return float(self._assembled(int(i), kind, "row")[which][int(j)])
 
     def _assemble_pair(
         self, i: int, j: int, kind: str
     ) -> tuple[float, float, tuple[int, int] | None]:
         """One assembled ``(primary, secondary, decomposition)`` entry.
 
-        The decomposition is ``None`` when the in-cell path wins (or
-        nothing is reachable) and ``(b1, b2)`` — global border node ids —
-        when the stitched path wins.  Ties prefer the in-cell path, then
-        the lexicographically smaller ``(primary, secondary)`` combo,
-        exactly mirroring the vectorised row/column assembly.
+        Path materialisation's view of one pair.  The decomposition is
+        ``None`` when the in-cell path wins (or nothing is reachable) and
+        ``(b1, b2)`` — global border node ids — when the stitched path
+        wins.  Ties prefer the in-cell path, then the lexicographically
+        smaller ``(primary, secondary)`` combo, as the row assembly does.
         """
         self._check_node(i)
         self._check_node(j)
@@ -605,7 +619,7 @@ class PartitionedCostTables:
             exit_nodes = part.border_nodes[exits]
             entry_nodes = part.border_nodes[entries]
             # legs: i -> exit (in cell), exit -> entry (border), entry -> j,
-            # associated as leg1 + (border + leg3) to match _columns.
+            # associated as leg1 + (border + leg3), as columns are.
             leg1_prim = prim_i[li, self.local_index[exit_nodes]]
             leg1_sec = sec_i[li, self.local_index[exit_nodes]]
             leg3_prim = prim_j[self.local_index[entry_nodes], lj]
@@ -624,121 +638,107 @@ class PartitionedCostTables:
                 combo = (int(exit_nodes[pick]), int(entry_nodes[entry_pick]))
         return best_primary, best_secondary, combo
 
-    def _columns(self, t: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """Assembled ``(primary, secondary)`` columns for target *t*."""
-        key = (t, kind)
-        cached = self._column_cache.get(key)
+    def _assembled(self, node: int, kind: str, direction: str) -> tuple[np.ndarray, np.ndarray]:
+        """Assembled ``(primary, secondary)`` row from, or column to, *node*.
+
+        A column is a row over the transposed in-cell and border matrices.
+        ``mid[b]`` is the best ``in-cell(node, b1) + border(b1, b)`` over
+        the border nodes ``b1`` of *node*'s cell (``|exits| * k`` sums);
+        the stitched candidates ``mid[b] + leg(b, v)`` then cover every
+        gathered pair at once — ``(leg1 + border) + leg3`` for rows,
+        ``leg1 + (border + leg3)`` for columns — and are minimised per
+        ``v`` lexicographically: a segmented min on the primary, then a
+        min of the secondary over the primary ties.  Ties with the
+        in-cell value prefer it.
+        """
+        cache = self._row_cache if direction == "row" else self._column_cache
+        cached = cache.get((node, kind))
         if cached is not None:
             return cached
-        self._check_node(t)
+        self._check_node(node)
         part = self.partition
-        n = self.num_nodes
-        ct = int(part.cell_of[t])
-        lt = int(self.local_index[t])
-        prim_col = np.full(n, np.inf)
-        sec_col = np.full(n, np.inf)
-
-        entries = self._cell_border_positions(ct)
-        have_mid = len(entries) > 0
-        if have_mid:
-            prim_t, sec_t = self._in_cell(kind, ct)
-            entry_nodes = part.border_nodes[entries]
-            leg3_prim = prim_t[self.local_index[entry_nodes], lt]
-            leg3_sec = sec_t[self.local_index[entry_nodes], lt]
-            border_prim, border_sec = self._border_matrices(kind)
-            # mid[b1] = best (border(b1 -> b2) + in-cell(b2 -> t)) over
-            # all entries b2 of cell(t): one (k,)-vector for the column.
+        cell, local = int(part.cell_of[node]), int(self.local_index[node])
+        (prim_m, sec_m), (border_prim, border_sec) = (
+            self._in_cell(kind, cell), self._border_matrices(kind)
+        )
+        if direction == "column":
+            prim_m, sec_m, border_prim, border_sec = prim_m.T, sec_m.T, border_prim.T, border_sec.T
+        prim = np.full(self.num_nodes, np.inf)
+        sec = np.full(self.num_nodes, np.inf)
+        prim[part.cells[cell]] = prim_m[local, :]
+        sec[part.cells[cell]] = sec_m[local, :]
+        ends = self._cell_border_positions(cell)
+        if len(ends):
+            end_locals = self.local_index[part.border_nodes[ends]]
             mid_prim, mid_sec = _lex_min(
-                border_prim[:, entries] + leg3_prim[None, :],
-                border_sec[:, entries] + leg3_sec[None, :],
-                axis=1,
-            )
-
-        for cell in range(part.num_cells):
-            nodes = part.cells[cell]
-            prim_m, sec_m = self._in_cell(kind, cell)
-            if cell == ct:
-                best_prim = prim_m[:, lt].copy()
-                best_sec = sec_m[:, lt].copy()
-            else:
-                best_prim = np.full(len(nodes), np.inf)
-                best_sec = np.full(len(nodes), np.inf)
-            exits = self._cell_border_positions(cell)
-            if have_mid and len(exits):
-                exit_locals = self.local_index[part.border_nodes[exits]]
-                cand_prim, cand_sec = _lex_min(
-                    prim_m[:, exit_locals] + mid_prim[exits][None, :],
-                    sec_m[:, exit_locals] + mid_sec[exits][None, :],
-                    axis=1,
-                )
-                better = (cand_prim < best_prim) | (
-                    (cand_prim == best_prim) & (cand_sec < best_sec)
-                )
-                best_prim = np.where(better, cand_prim, best_prim)
-                best_sec = np.where(better, cand_sec, best_sec)
-            prim_col[nodes] = best_prim
-            sec_col[nodes] = best_sec
-
-        self._column_cache.put(key, (prim_col, sec_col))
-        return prim_col, sec_col
-
-    def _rows(self, i: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """Assembled ``(primary, secondary)`` rows for source *i*."""
-        key = (i, kind)
-        cached = self._row_cache.get(key)
-        if cached is not None:
-            return cached
-        self._check_node(i)
-        part = self.partition
-        n = self.num_nodes
-        ci = int(part.cell_of[i])
-        li = int(self.local_index[i])
-        prim_row = np.full(n, np.inf)
-        sec_row = np.full(n, np.inf)
-
-        exits = self._cell_border_positions(ci)
-        have_mid = len(exits) > 0
-        if have_mid:
-            prim_i, sec_i = self._in_cell(kind, ci)
-            exit_locals = self.local_index[part.border_nodes[exits]]
-            leg1_prim = prim_i[li, exit_locals]
-            leg1_sec = sec_i[li, exit_locals]
-            border_prim, border_sec = self._border_matrices(kind)
-            # mid[b2] = best (in-cell(i -> b1) + border(b1 -> b2)) over
-            # all exits b1 of cell(i): one (k,)-vector for the row.
-            mid_prim, mid_sec = _lex_min(
-                leg1_prim[:, None] + border_prim[exits, :],
-                leg1_sec[:, None] + border_sec[exits, :],
+                prim_m[local, end_locals][:, None] + border_prim[ends, :],
+                sec_m[local, end_locals][:, None] + border_sec[ends, :],
                 axis=0,
             )
+            border, starts, lengths, nodes = self._pairs()
+            leg_prim, leg_sec = self._legs(kind, direction)
+            cand_prim = np.take(mid_prim, border) + leg_prim
+            best_prim = np.minimum.reduceat(cand_prim, starts)
+            # Secondary pass over the primary ties of reachable nodes only
+            # (NaN never compares equal, so unreachable segments tie nowhere).
+            finite_best = np.where(np.isfinite(best_prim), best_prim, np.nan)
+            tied = np.flatnonzero(cand_prim == np.repeat(finite_best, lengths))
+            best_sec = np.full(len(best_prim), np.inf)
+            np.minimum.at(
+                best_sec,
+                np.searchsorted(starts, tied, side="right") - 1,
+                np.take(mid_sec, np.take(border, tied)) + np.take(leg_sec, tied),
+            )
+            cur_prim, cur_sec = prim[nodes], sec[nodes]
+            better = (best_prim < cur_prim) | ((best_prim == cur_prim) & (best_sec < cur_sec))
+            prim[nodes] = np.where(better, best_prim, cur_prim)
+            sec[nodes] = np.where(better, best_sec, cur_sec)
+        cache.put((node, kind), (prim, sec))
+        return prim, sec
 
-        for cell in range(part.num_cells):
-            nodes = part.cells[cell]
-            prim_m, sec_m = self._in_cell(kind, cell)
-            if cell == ci:
-                best_prim = prim_m[li, :].copy()
-                best_sec = sec_m[li, :].copy()
-            else:
-                best_prim = np.full(len(nodes), np.inf)
-                best_sec = np.full(len(nodes), np.inf)
-            entries = self._cell_border_positions(cell)
-            if have_mid and len(entries):
-                entry_locals = self.local_index[part.border_nodes[entries]]
-                cand_prim, cand_sec = _lex_min(
-                    mid_prim[entries][:, None] + prim_m[entry_locals, :],
-                    mid_sec[entries][:, None] + sec_m[entry_locals, :],
-                    axis=0,
-                )
-                better = (cand_prim < best_prim) | (
-                    (cand_prim == best_prim) & (cand_sec < best_sec)
-                )
-                best_prim = np.where(better, cand_prim, best_prim)
-                best_sec = np.where(better, cand_sec, best_sec)
-            prim_row[nodes] = best_prim
-            sec_row[nodes] = best_sec
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every ``(border b, node v in cell(b))`` pair, sorted by ``v``.
 
-        self._row_cache.put(key, (prim_row, sec_row))
-        return prim_row, sec_row
+        Returns ``(border, starts, lengths, nodes)``: the position of each
+        pair's ``b`` in ``border_nodes``, then per segment (one per node
+        ``v`` whose cell has border nodes) its first pair, its length
+        ``|border(cell(v))|`` and ``v`` itself — all int32.
+        """
+        pairs = self._gathers.get("pairs")
+        if pairs is None:
+            part = self.partition
+            border_cell = part.cell_of[part.border_nodes]
+            by_cell = np.argsort(border_cell, kind="stable")
+            counts = np.bincount(border_cell, minlength=part.num_cells)
+            first = np.cumsum(counts) - counts
+            per_node = counts[part.cell_of]
+            nodes = np.flatnonzero(per_node)
+            lengths = per_node[nodes]
+            starts = np.cumsum(lengths) - lengths
+            segment = np.repeat(np.arange(len(nodes)), lengths)
+            rank = np.arange(len(segment)) - starts[segment]
+            border = by_cell[first[part.cell_of[nodes]][segment] + rank]
+            pairs = tuple(a.astype(np.int32) for a in (border, starts, lengths, nodes))
+            self._gathers["pairs"] = pairs
+        return pairs
+
+    def _legs(self, kind: str, direction: str) -> tuple[np.ndarray, np.ndarray]:
+        """In-cell legs of every pair: ``b -> v`` for rows, ``v -> b`` for columns."""
+        legs = self._gathers.get((kind, direction))
+        if legs is None:
+            part = self.partition
+            border, _starts, lengths, nodes = self._pairs()
+            v = np.repeat(nodes, lengths)
+            size = np.array([len(cell) for cell in part.cells], dtype=np.int64)
+            offset = np.cumsum(size * size) - size * size
+            cell = part.cell_of[v]
+            lb, lv = self.local_index[part.border_nodes[border]], self.local_index[v]
+            src, dst = (lb, lv) if direction == "row" else (lv, lb)
+            flat = offset[cell] + src * size[cell] + dst
+            matrices = zip(*(self._in_cell(kind, c) for c in range(part.num_cells)))
+            legs = tuple(np.concatenate([m.ravel() for m in ms])[flat] for ms in matrices)
+            self._gathers[(kind, direction)] = legs
+        return legs
 
     def _gather_cols(self, nodes: np.ndarray, column) -> np.ndarray:
         targets = [int(t) for t in np.asarray(nodes).ravel()]

@@ -339,10 +339,10 @@ class KORApp:
             timeout=timeout,
             **spec["params"],
         )
+        # The epoch the answer was served under, not the one current now:
+        # an update may have landed since the wave finished.
         return 200, validate_route_result(
-            encode_route_result(
-                result, explain=spec["explain"], epoch=self._front.epoch
-            )
+            encode_route_result(result, explain=spec["explain"], epoch=result.epoch)
         )
 
     async def _batch(self, scope, body: bytes) -> tuple[int, dict]:
@@ -376,7 +376,6 @@ class KORApp:
             return_exceptions=True,
         )
         items = []
-        epoch = self._front.epoch
         for spec, outcome in zip(specs, outcomes):
             if isinstance(outcome, BaseException):
                 items.append(encode_error(outcome))
@@ -384,7 +383,7 @@ class KORApp:
                 items.append(
                     validate_route_result(
                         encode_route_result(
-                            outcome, explain=spec["explain"], epoch=epoch
+                            outcome, explain=spec["explain"], epoch=outcome.epoch
                         )
                     )
                 )

@@ -201,6 +201,12 @@ class BatchReport:
         """Slot index -> exception, for the slots that failed."""
         return {item.index: item.error for item in self.items if item.error is not None}
 
+    def stamp(self, epoch: int) -> None:
+        """Mark every result with the graph epoch the batch was served under."""
+        for item in self.items:
+            if item.result is not None:
+                item.result.epoch = epoch
+
     def results(self) -> list[KORResult]:
         """The per-slot results in submission order.
 

@@ -44,6 +44,7 @@ from repro.service.batch import (
 )
 from repro.service import faults
 from repro.service.cache import UNCACHEABLE_PARAMS, ResultCache, canonical_cache_key
+from repro.service.fence import EpochFence
 from repro.service.stats import ServiceStats, StatsSnapshot
 
 __all__ = ["QueryService"]
@@ -108,7 +109,7 @@ class QueryService:
         self._wave_controller.retarget(engine.graph)
         self._backend = backend
         self._handle = EngineHandle(engine)
-        self._epoch = 0
+        self._fence = EpochFence()
         self._update_lock = threading.Lock()
         self._mutator: GraphMutator | None = None
         # Set by build_service when it constructed the backend itself;
@@ -172,7 +173,7 @@ class QueryService:
         Clients compare this against the epoch stamped on responses to
         detect results computed against a retired graph.
         """
-        return self._epoch
+        return self._fence.epoch
 
     def snapshot(self) -> StatsSnapshot:
         """One frozen view of the serving story.
@@ -206,17 +207,18 @@ class QueryService:
         computed against the old engine when they try to store
         themselves (see :class:`~repro.service.cache.ResultCache`).
         """
-        retired = self._handle
-        self._engine = engine
-        self._handle = EngineHandle(engine)
-        # The mutation history described the retired graph.
-        self._mutator = None
-        self._wave_controller.retarget(engine.graph)
-        self._epoch += 1
-        if self._backend is not None:
-            self._backend.unregister(retired.key)
-            self._backend.register(self._handle)
-        self._cache.invalidate()
+        with self._fence.landing():
+            retired = self._handle
+            self._engine = engine
+            self._handle = EngineHandle(engine)
+            # The mutation history described the retired graph.
+            self._mutator = None
+            self._wave_controller.retarget(engine.graph)
+            self._fence.epoch += 1
+            if self._backend is not None:
+                self._backend.unregister(retired.key)
+                self._backend.register(self._handle)
+            self._cache.invalidate()
 
     def close(self) -> None:
         """Retire this service's engine from the backend (idempotent).
@@ -252,37 +254,39 @@ class QueryService:
         the engine handle is reset in place (same key), pool workers
         receive a :class:`~repro.service.backends.PartPatch` through
         their ordinary task queues, and the cache is invalidated exactly
-        once after the swap — in-flight queries finish on the old-epoch
-        engine and their write-backs are dropped by the epoch guard.
+        once after the swap.  The rebuild runs beside serving; the swap
+        lands under the :class:`~repro.service.fence.EpochFence`, after
+        the waves in flight finish on the old engine.
         """
         with self._update_lock:
             if self._mutator is None:
                 self._mutator = GraphMutator(self._engine.graph)
             delta = resolve_ops(self._mutator, ops)
             engine = type(self._engine)(self._mutator.graph)
-            self._engine = engine
-            self._handle.reset(engine)
-            if self._backend is not None:
-                # A delta that interned new keywords must ship the full
-                # graph: the worker would intern in merged-delta order,
-                # not op order, and disagree with the shipped index on
-                # keyword ids.
-                structural_only = not delta.set_keywords
-                self._backend.apply_patches(
-                    [
-                        PartPatch(
-                            key=self._handle.key,
-                            graph=None if structural_only else engine.graph,
-                            graph_delta=delta if structural_only else None,
-                            tables=engine.tables,
-                            index=engine.index,
-                        )
-                    ]
-                )
-            self._wave_controller.retarget(engine.graph)
-            self._epoch += 1
-            self._cache.invalidate()
-            return self._epoch
+            with self._fence.landing():
+                self._engine = engine
+                self._handle.reset(engine)
+                if self._backend is not None:
+                    # A delta that interned new keywords must ship the
+                    # full graph: the worker would intern in merged-delta
+                    # order, not op order, and disagree with the shipped
+                    # index on keyword ids.
+                    structural_only = not delta.set_keywords
+                    self._backend.apply_patches(
+                        [
+                            PartPatch(
+                                key=self._handle.key,
+                                graph=None if structural_only else engine.graph,
+                                graph_delta=delta if structural_only else None,
+                                tables=engine.tables,
+                                index=engine.index,
+                            )
+                        ]
+                    )
+                self._wave_controller.retarget(engine.graph)
+                self._fence.epoch += 1
+                self._cache.invalidate()
+                return self._fence.epoch
 
     def update_edge_cost(
         self,
@@ -366,7 +370,6 @@ class QueryService:
         begin = time.perf_counter()
         cacheable = not (UNCACHEABLE_PARAMS & params.keys())
         key = canonical_cache_key(query, algorithm, params) if cacheable else None
-        epoch = self._cache.epoch if cacheable else None
         compute_params = params if deadline is None else {**params, "deadline": deadline}
 
         def compute() -> KORResult:
@@ -378,14 +381,18 @@ class QueryService:
             return self._engine.run(query, algorithm=algorithm, **compute_params)
 
         try:
-            if cacheable:
-                result, how = self._cache.get_or_compute(key, compute, epoch=epoch)
-            else:
-                result, how = compute(), "computed"
+            with self._fence.wave() as served_epoch:
+                if cacheable:
+                    result, how = self._cache.get_or_compute(
+                        key, compute, epoch=self._cache.epoch
+                    )
+                else:
+                    result, how = compute(), "computed"
         except Exception:
             self._stats.record_error()
             self._stats.record_busy(time.perf_counter() - begin)
             raise
+        result.epoch = served_epoch
         elapsed = time.perf_counter() - begin
         if how == "coalesced":
             self._stats.record_coalesced()
@@ -409,26 +416,30 @@ class QueryService:
         Failed slots carry their exception; successful slots are cached
         and unaffected.  Slot order is the submission order regardless of
         ``workers`` or backend.  ``deadline`` (out-of-band, never in
-        cache keys) bounds every slot's search.
+        cache keys) bounds every slot's search.  The batch runs inside the
+        :class:`~repro.service.fence.EpochFence` and its results are
+        stamped with the epoch it was served under.
         """
         if algorithm not in ALGORITHMS:
             raise QueryError(
                 f"unknown algorithm {algorithm!r}; expected one of {', '.join(ALGORITHMS)}"
             )
-        report = execute_batch(
-            self._engine,
-            self._cache,
-            queries,
-            algorithm=algorithm,
-            workers=workers if workers is not None else self._default_workers,
-            params=params,
-            backend=self._backend,
-            handle=self._handle,
-            deadline=deadline,
-            wave_kernels=self._wave_kernels,
-            wave_size=self._wave_controller.wave_size,
-            stats=self._stats,
-        )
+        with self._fence.wave() as epoch:
+            report = execute_batch(
+                self._engine,
+                self._cache,
+                queries,
+                algorithm=algorithm,
+                workers=workers if workers is not None else self._default_workers,
+                params=params,
+                backend=self._backend,
+                handle=self._handle,
+                deadline=deadline,
+                wave_kernels=self._wave_kernels,
+                wave_size=self._wave_controller.wave_size,
+                stats=self._stats,
+            )
+        report.stamp(epoch)
         for item in report.items:
             if item.ok:
                 self._stats.record_query(item.latency_seconds, cached=item.cached)

@@ -89,6 +89,7 @@ from repro.service.batch import (
 )
 from repro.service.cache import ResultCache
 from repro.service.crosscell import BorderEngine
+from repro.service.fence import EpochFence
 from repro.service.stats import ServiceStats, StatsSnapshot
 from repro.world import CellState, MutableWorld, WorldUpdate
 
@@ -217,6 +218,8 @@ class ShardedQueryService:
         self._cache = ResultCache(cache_capacity, max_route_nodes=max_cached_route_nodes)
         self._stats = ServiceStats()
         self._update_lock = threading.Lock()
+        self._fence = EpochFence()
+        self._fence.epoch = world.epoch
         self._wave_kernels = wave_kernels
         self._wave_controller = (
             WaveSizeController(wave_size, fixed=True)
@@ -289,8 +292,8 @@ class ShardedQueryService:
 
     @property
     def epoch(self) -> int:
-        """Graph epoch: number of updates applied since construction."""
-        return self._world.epoch
+        """Graph epoch: number of updates landed since construction."""
+        return self._fence.epoch
 
     @property
     def shards(self) -> tuple[Shard, ...]:
@@ -381,8 +384,9 @@ class ShardedQueryService:
                 add(getattr(tables, name))
         for name in _BORDER_ARRAYS:
             add(getattr(assembled, name))
-        # The assembled tables' bounded row/column LRU caches are derived
-        # state but resident nonetheless; count them so nothing hides.
+        # The assembled tables' bounded row/column LRU caches and pair
+        # gathers are derived state but resident nonetheless; count them
+        # so nothing hides.
         total += assembled.cache_bytes()
         return total
 
@@ -401,8 +405,9 @@ class ShardedQueryService:
 
         The world performs the incremental repair (only the mutated
         cells' tables plus the border tier recompute); this method then
-        lands the repaired parts in the serving plane under an **epoch
-        fence**: affected shard handles are reset in place (same keys),
+        lands the repaired parts in the serving plane under the
+        :class:`~repro.service.fence.EpochFence`, once the waves in flight
+        have finished: affected shard handles are reset in place (same keys),
         pool workers receive :class:`~repro.service.backends.PartPatch`
         deltas through their ordinary FIFO task queues — so every task
         submitted before the update runs against the old state and every
@@ -412,8 +417,10 @@ class ShardedQueryService:
         """
         with self._update_lock:
             update = self._world.apply_ops(ops)
-            self._integrate(update)
-            return self._world.epoch
+            with self._fence.landing():
+                self._integrate(update)
+                self._fence.epoch = self._world.epoch
+            return self._fence.epoch
 
     def update_edge_cost(
         self,
@@ -678,6 +685,10 @@ class ShardedQueryService:
         feasible (a subgraph route is a full-graph route) but only the
         border engine's verdict speaks for global optimality.  A wave
         whose cross attempt *completed* never degrades.
+
+        The wave runs inside the :class:`~repro.service.fence.EpochFence`,
+        so no update lands under it, and every result is stamped with
+        the epoch it was served under (``KORResult.epoch``).
         """
         if algorithm not in ALGORITHMS:
             raise QueryError(
@@ -707,69 +718,71 @@ class ShardedQueryService:
         begin = time.perf_counter()
         queries = list(queries)
         items = [BatchItem(index=i, query=query) for i, query in enumerate(queries)]
-        cacheable, keys = batch_keys(queries, algorithm, dict(params))
-        epoch = self._cache.epoch if cacheable else None
-        units = dedup_units(items, keys, self._cache, cacheable, epoch)
+        with self._fence.wave() as served_epoch:
+            cacheable, keys = batch_keys(queries, algorithm, dict(params))
+            epoch = self._cache.epoch if cacheable else None
+            units = dedup_units(items, keys, self._cache, cacheable, epoch)
 
-        if units:
-            effective = workers if workers is not None else self._default_workers
-            plans = [self._plan(unit.query) for unit in units]
-            wave: list[ShardTask] = []
-            owners: list[tuple[int, bool]] = []  # (unit position, is cell attempt)
-            for position, (unit, plan) in enumerate(zip(units, plans)):
-                unit.plan = plan.reason
-                if plan.shard is not None:
+            if units:
+                effective = workers if workers is not None else self._default_workers
+                plans = [self._plan(unit.query) for unit in units]
+                wave: list[ShardTask] = []
+                owners: list[tuple[int, bool]] = []  # (unit position, is cell attempt)
+                for position, (unit, plan) in enumerate(zip(units, plans)):
+                    unit.plan = plan.reason
+                    if plan.shard is not None:
+                        wave.append(
+                            ShardTask.build(
+                                plan.shard.key,
+                                self._localize(plan.shard, unit.query),
+                                algorithm,
+                                params,
+                                deadline=deadline,
+                            )
+                        )
+                        owners.append((position, True))
+                        if self.num_shards == 1:
+                            # The single cell is the whole graph — the
+                            # cross-cell twin would recompute the same answer.
+                            continue
                     wave.append(
                         ShardTask.build(
-                            plan.shard.key,
-                            self._localize(plan.shard, unit.query),
+                            self._crosscell_handle.key,
+                            unit.query,
                             algorithm,
                             params,
                             deadline=deadline,
                         )
                     )
-                    owners.append((position, True))
-                    if self.num_shards == 1:
-                        # The single cell is the whole graph — the
-                        # cross-cell twin would recompute the same answer.
-                        continue
-                wave.append(
-                    ShardTask.build(
-                        self._crosscell_handle.key,
-                        unit.query,
-                        algorithm,
-                        params,
-                        deadline=deadline,
+                    owners.append((position, False))
+                outcomes = self._scatter(wave, algorithm, params, deadline, workers=effective)
+                self._record_tasks(wave, outcomes)
+
+                cell_outcomes: dict[int, TaskOutcome] = {}
+                cross_outcomes: dict[int, TaskOutcome] = {}
+                for (position, is_cell), outcome in zip(owners, outcomes):
+                    (cell_outcomes if is_cell else cross_outcomes)[position] = outcome
+
+                for position, (unit, plan) in enumerate(zip(units, plans)):
+                    self._merge(
+                        unit,
+                        plan,
+                        cell_outcomes.get(position),
+                        cross_outcomes.get(position),
                     )
-                )
-                owners.append((position, False))
-            outcomes = self._scatter(wave, algorithm, params, deadline, workers=effective)
-            self._record_tasks(wave, outcomes)
 
-            cell_outcomes: dict[int, TaskOutcome] = {}
-            cross_outcomes: dict[int, TaskOutcome] = {}
-            for (position, is_cell), outcome in zip(owners, outcomes):
-                (cell_outcomes if is_cell else cross_outcomes)[position] = outcome
-
-            for position, (unit, plan) in enumerate(zip(units, plans)):
-                self._merge(
-                    unit,
-                    plan,
-                    cell_outcomes.get(position),
-                    cross_outcomes.get(position),
-                )
-
-            for unit in units:
-                if unit.error is None and cacheable:
-                    self._cache.put(unit.key, unit.result, epoch=epoch)
-                for slot in unit.slots:
-                    items[slot].result = unit.result
-                    items[slot].error = unit.error
-                    items[slot].latency_seconds = unit.latency_seconds
-                    items[slot].shard = unit.shard
-                    items[slot].plan = unit.plan
+                for unit in units:
+                    if unit.error is None and cacheable:
+                        self._cache.put(unit.key, unit.result, epoch=epoch)
+                    for slot in unit.slots:
+                        items[slot].result = unit.result
+                        items[slot].error = unit.error
+                        items[slot].latency_seconds = unit.latency_seconds
+                        items[slot].shard = unit.shard
+                        items[slot].plan = unit.plan
 
         report = BatchReport(items=items, wall_seconds=time.perf_counter() - begin)
+        report.stamp(served_epoch)
         for item in report.items:
             if item.ok:
                 self._stats.record_query(item.latency_seconds, cached=item.cached)

@@ -45,6 +45,15 @@ class TestWorkloadCaching:
         c = workload.query_set(2, 6.0)
         assert c is not a
 
+    def test_query_sets_cached_per_seed(self):
+        workload = workloads.flickr_workload()
+        first = workload.query_set(2, 6.0, num_queries=6, seed=1)
+        other = workload.query_set(2, 6.0, num_queries=6, seed=2)
+        assert [(q.source, q.target, q.keywords) for q in first] != [
+            (q.source, q.target, q.keywords) for q in other
+        ]
+        assert workload.query_set(2, 6.0, num_queries=6, seed=1) is first
+
     def test_query_set_sizes_follow_env(self):
         workload = workloads.flickr_workload()
         assert len(workload.query_set(2, 6.0)) == 3
